@@ -20,6 +20,17 @@
 // Dispatch cost is charged to the raising task: "the overhead of invoking
 // each handler is roughly one procedure call".
 //
+// # Keyed bindings
+//
+// An event declared with a key extractor (Options.Key) also accepts keyed
+// bindings (InstallKeyed), whose guard is "the packet's key equals k" — the
+// exact-match demultiplexing a transport's per-connection guards perform.
+// The dispatcher extracts the key once per raise and finds the matching
+// keyed bindings through an index, so host cost does not grow with their
+// number. Simulated cost does: each live keyed binding is still charged one
+// GuardEval per raise, exactly as the equivalent guard closure would be, so
+// the paper's linear guard-chain cost model is unchanged.
+//
 // # Crash containment and quarantine
 //
 // A handler or guard that panics is caught by the dispatcher: the time it
@@ -85,11 +96,17 @@ func Proc(name string, fn HandlerFunc) Handler {
 	return Handler{Name: name, Fn: fn}
 }
 
+// KeyFunc extracts a packet's demultiplexing key. ok=false means the packet
+// carries no valid key, and every keyed binding rejects it.
+type KeyFunc func(m *mbuf.Mbuf) (key uint64, ok bool)
+
 // Options configure a declared event.
 type Options struct {
 	// RequireEphemeral makes the event reject non-EPHEMERAL handlers at
 	// install time. Events raised from interrupt context declare this.
 	RequireEphemeral bool
+	// Key, when set, lets the event take keyed bindings (InstallKeyed).
+	Key KeyFunc
 }
 
 // Costs parameterize what raising an event charges the running task. The
@@ -115,6 +132,9 @@ var (
 	ErrNotEphemeral = errors.New("event: handler is not EPHEMERAL")
 	// ErrDuplicate reports a duplicate event declaration.
 	ErrDuplicate = errors.New("event: already declared")
+	// ErrNotKeyed reports a keyed install on an event declared without a
+	// key extractor.
+	ErrNotKeyed = errors.New("event: event has no key extractor")
 	// ErrAllotmentNotEphemeral reports an attempt to install a non-EPHEMERAL
 	// handler with a time allotment. Allotments are enforced by premature
 	// termination, which only EPHEMERAL handlers tolerate (§3.3); terminating
@@ -146,20 +166,51 @@ func (s BindingStats) Faults() uint64 {
 // Quarantined(), and Removed() post-mortem. Only dispatch stops; the handle
 // is never recycled.
 type Binding struct {
-	event       *eventState
-	guard       Guard
-	handler     Handler
-	allotment   sim.Time // 0 = unlimited
+	event *eventState
+	guard Guard
+	// The handler descriptor is stored unpacked so its flag shares a word
+	// with removed/quarantined, keeping Binding in the 112-byte size class
+	// with the keyed pointer added.
+	name        string
+	fn          HandlerFunc
+	ephemeral   bool
 	removed     bool
 	quarantined bool
-	stats       BindingStats
+	allotment   sim.Time // 0 = unlimited
+	// keyed is nil except for keyed bindings.
+	keyed *keyedBinding
+	stats BindingStats
+}
+
+// keyedBinding is the state only keyed bindings carry.
+type keyedBinding struct {
+	key uint64
+	// next chains bindings sharing the key, in install order.
+	next *Binding
+	// before counts the live unkeyed bindings installed ahead of this one:
+	// its place in the event's install order.
+	before int
+	// since and until bracket the event's raise count over the binding's
+	// live span (until is set when it leaves the index); accepts counts
+	// the raises whose key matched. GuardRejects is derived from them.
+	since, until, accepts uint64
 }
 
 // Stats returns a snapshot of the binding's counters.
-func (b *Binding) Stats() BindingStats { return b.stats }
+func (b *Binding) Stats() BindingStats {
+	st := b.stats
+	if kb := b.keyed; kb != nil {
+		end := b.event.raises
+		if b.removed || b.quarantined {
+			end = kb.until
+		}
+		st.GuardRejects = end - kb.since - kb.accepts
+	}
+	return st
+}
 
 // Handler returns the installed handler descriptor.
-func (b *Binding) Handler() Handler { return b.handler }
+func (b *Binding) Handler() Handler { return Handler{Name: b.name, Fn: b.fn, Ephemeral: b.ephemeral} }
 
 // Allotment returns the per-invocation time budget (0 = unlimited).
 func (b *Binding) Allotment() sim.Time { return b.allotment }
@@ -192,10 +243,77 @@ type QuarantinePolicy struct {
 func (p QuarantinePolicy) Enabled() bool { return p.Threshold > 0 }
 
 type eventState struct {
-	name     Name
-	opts     Options
+	name             Name
+	requireEphemeral bool
+	// bindings holds the unkeyed bindings in install order.
 	bindings []*Binding
 	raises   uint64
+	// keyed is nil unless the event was declared with a key extractor.
+	keyed *keyIndex
+}
+
+// keyIndex is a keyed event's binding index: the bindings for each key,
+// chained in install order.
+type keyIndex struct {
+	extract KeyFunc
+	byKey   map[uint64]*Binding
+	live    int
+	// owner is the profiler owner every keyed guard charge is filed under.
+	owner string
+}
+
+// add appends b to its key's chain.
+func (kx *keyIndex) add(b *Binding) {
+	kx.live++
+	head := kx.byKey[b.keyed.key]
+	if head == nil {
+		kx.byKey[b.keyed.key] = b
+		return
+	}
+	for head.keyed.next != nil {
+		head = head.keyed.next
+	}
+	head.keyed.next = b
+}
+
+// remove unlinks b from its key's chain.
+func (kx *keyIndex) remove(b *Binding) bool {
+	kb := b.keyed
+	for p, x := (*Binding)(nil), kx.byKey[kb.key]; x != nil; p, x = x, x.keyed.next {
+		if x != b {
+			continue
+		}
+		switch {
+		case p != nil:
+			p.keyed.next = kb.next
+		case kb.next != nil:
+			kx.byKey[kb.key] = kb.next
+		default:
+			delete(kx.byKey, kb.key)
+		}
+		kb.next = nil
+		kx.live--
+		return true
+	}
+	return false
+}
+
+// each calls fn for every indexed binding.
+func (kx *keyIndex) each(fn func(*Binding)) {
+	for _, b := range kx.byKey {
+		for ; b != nil; b = b.keyed.next {
+			fn(b)
+		}
+	}
+}
+
+// handlerCount is the number of live bindings on the event.
+func (ev *eventState) handlerCount() int {
+	n := len(ev.bindings)
+	if ev.keyed != nil {
+		n += ev.keyed.live
+	}
+	return n
 }
 
 // Dispatcher routes raised events to installed handlers.
@@ -287,9 +405,12 @@ func (d *Dispatcher) Health() Health {
 		h.Faults += b.stats.Faults()
 	}
 	for _, ev := range d.events {
-		h.Bindings += len(ev.bindings)
+		h.Bindings += ev.handlerCount()
 		for _, b := range ev.bindings {
 			acc(b)
+		}
+		if ev.keyed != nil {
+			ev.keyed.each(acc)
 		}
 	}
 	for _, b := range d.ejected {
@@ -317,7 +438,11 @@ func (d *Dispatcher) Declare(name Name, opts Options) error {
 	if _, ok := d.events[name]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicate, name)
 	}
-	d.events[name] = &eventState{name: name, opts: opts}
+	ev := &eventState{name: name, requireEphemeral: opts.RequireEphemeral}
+	if opts.Key != nil {
+		ev.keyed = &keyIndex{extract: opts.Key}
+	}
+	d.events[name] = ev
 	return nil
 }
 
@@ -338,11 +463,48 @@ func (d *Dispatcher) Declared(name Name) bool {
 // to an event. allotment, if nonzero, is the EPHEMERAL time budget per
 // invocation. Installation order is dispatch order.
 func (d *Dispatcher) Install(name Name, guard Guard, h Handler, allotment sim.Time) (*Binding, error) {
+	b, err := d.newBinding(name, h, allotment)
+	if err != nil {
+		return nil, err
+	}
+	b.guard = guard
+	b.event.bindings = append(b.event.bindings, b)
+	return b, nil
+}
+
+// InstallKeyed attaches a handler whose guard is "the packet's key equals
+// key" to an event declared with Options.Key. It dispatches exactly as
+// Install with that guard would — in install order among all the event's
+// bindings, charged one GuardEval per raise — but the dispatcher finds it
+// through the key index instead of evaluating it.
+func (d *Dispatcher) InstallKeyed(name Name, key uint64, h Handler, allotment sim.Time) (*Binding, error) {
+	b, err := d.newBinding(name, h, allotment)
+	if err != nil {
+		return nil, err
+	}
+	ev := b.event
+	kx := ev.keyed
+	if kx == nil {
+		return nil, fmt.Errorf("%w: %s", ErrNotKeyed, name)
+	}
+	if kx.byKey == nil {
+		// Built on first use: most hosts declare TCP but never open a
+		// connection, and at 10k hosts the idle indexes add up.
+		kx.byKey = make(map[uint64]*Binding)
+		kx.owner = "demux:" + string(name)
+	}
+	b.keyed = &keyedBinding{key: key, before: len(ev.bindings), since: ev.raises}
+	kx.add(b)
+	return b, nil
+}
+
+// newBinding validates an install and builds the binding, unattached.
+func (d *Dispatcher) newBinding(name Name, h Handler, allotment sim.Time) (*Binding, error) {
 	ev, ok := d.events[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownEvent, name)
 	}
-	if ev.opts.RequireEphemeral && !h.Ephemeral {
+	if ev.requireEphemeral && !h.Ephemeral {
 		return nil, fmt.Errorf("%w: %s on %s", ErrNotEphemeral, h.Name, name)
 	}
 	if h.Fn == nil {
@@ -354,9 +516,7 @@ func (d *Dispatcher) Install(name Name, guard Guard, h Handler, allotment sim.Ti
 	if allotment > 0 && !h.Ephemeral {
 		return nil, fmt.Errorf("%w: %s on %s", ErrAllotmentNotEphemeral, h.Name, name)
 	}
-	b := &Binding{event: ev, guard: guard, handler: h, allotment: allotment}
-	ev.bindings = append(ev.bindings, b)
-	return b, nil
+	return &Binding{event: ev, name: h.Name, fn: h.Fn, ephemeral: h.Ephemeral, allotment: allotment}, nil
 }
 
 // Uninstall detaches a binding. Semantics:
@@ -381,12 +541,24 @@ func (d *Dispatcher) Uninstall(b *Binding) bool {
 	return detach(b)
 }
 
-// detach splices a binding out of its event's dispatch list.
+// detach splices a binding out of its event's dispatch list or key index.
 func detach(b *Binding) bool {
 	ev := b.event
+	if kb := b.keyed; kb != nil {
+		kb.until = ev.raises
+		return ev.keyed.remove(b)
+	}
 	for i, x := range ev.bindings {
 		if x == b {
 			ev.bindings = append(ev.bindings[:i], ev.bindings[i+1:]...)
+			if ev.keyed != nil {
+				// Keyed bindings installed after b move up one place.
+				ev.keyed.each(func(k *Binding) {
+					if k.keyed.before > i {
+						k.keyed.before--
+					}
+				})
+			}
 			return true
 		}
 	}
@@ -396,7 +568,7 @@ func detach(b *Binding) bool {
 // HandlerCount reports the number of handlers installed on an event.
 func (d *Dispatcher) HandlerCount(name Name) int {
 	if ev, ok := d.events[name]; ok {
-		return len(ev.bindings)
+		return ev.handlerCount()
 	}
 	return 0
 }
@@ -428,7 +600,7 @@ func (d *Dispatcher) Ref(name Name) *Ref {
 func (r *Ref) Name() Name { return r.ev.name }
 
 // HandlerCount reports the number of handlers installed on the event.
-func (r *Ref) HandlerCount() int { return len(r.ev.bindings) }
+func (r *Ref) HandlerCount() int { return r.ev.handlerCount() }
 
 // Raise is Dispatcher.Raise through the resolved handle.
 func (r *Ref) Raise(t *sim.Task, m *mbuf.Mbuf) int { return r.d.raise(t, r.ev, m) }
@@ -466,7 +638,7 @@ func (d *Dispatcher) evalGuard(t *sim.Task, name Name, b *Binding, m *mbuf.Mbuf)
 			panicked = true
 			if t.Sim().TraceEnabled() {
 				t.Sim().Tracef(sim.TraceEvent, "%s: guard of %s panicked (contained): %v",
-					name, b.handler.Name, r)
+					name, b.name, r)
 			}
 		}
 	}()
@@ -483,11 +655,11 @@ func (d *Dispatcher) invoke(t *sim.Task, name Name, b *Binding, m *mbuf.Mbuf) (p
 			panicked = true
 			if t.Sim().TraceEnabled() {
 				t.Sim().Tracef(sim.TraceEvent, "%s: handler %s panicked (contained): %v",
-					name, b.handler.Name, r)
+					name, b.name, r)
 			}
 		}
 	}()
-	b.handler.Fn(t, m)
+	b.fn(t, m)
 	return false
 }
 
@@ -504,7 +676,7 @@ func (d *Dispatcher) fault(t *sim.Task, name Name, b *Binding) {
 	d.ejected = append(d.ejected, b)
 	if t.Sim().TraceEnabled() {
 		t.Sim().Tracef(sim.TraceEvent, "%s: handler %s quarantined after %d faults",
-			name, b.handler.Name, b.stats.Faults())
+			name, b.name, b.stats.Faults())
 	}
 }
 
@@ -550,7 +722,26 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 	for int(depth) > len(d.scratch) {
 		d.scratch = append(d.scratch, nil)
 	}
-	bindings := append(d.scratch[depth-1][:0], ev.bindings...)
+	bindings := d.scratch[depth-1][:0]
+	if kx := ev.keyed; kx != nil && kx.live > 0 {
+		// Every live keyed guard is charged, as its guard closure would be,
+		// but only the bindings whose key matches join the snapshot, each
+		// spliced in at its install position.
+		d.chargeKeyed(t, kx)
+		var hit *Binding
+		if k, ok := kx.extract(m); ok {
+			hit = kx.byKey[k]
+		}
+		i := 0
+		for ; hit != nil; hit = hit.keyed.next {
+			bindings = append(bindings, ev.bindings[i:hit.keyed.before]...)
+			i = hit.keyed.before
+			bindings = append(bindings, hit)
+		}
+		bindings = append(bindings, ev.bindings[i:]...)
+	} else {
+		bindings = append(bindings, ev.bindings...)
+	}
 	d.scratch[depth-1] = bindings
 	// Dispatch is two-phase: every guard is evaluated against the intact
 	// packet first, then the matching handlers run. A handler may consume
@@ -562,8 +753,10 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 		if b.removed || b.quarantined {
 			continue
 		}
-		if b.guard != nil {
-			t.ChargeProf(sim.ProfDispatch, b.handler.Name, d.costs.GuardEval)
+		if b.keyed != nil {
+			b.keyed.accepts++
+		} else if b.guard != nil {
+			t.ChargeProf(sim.ProfDispatch, b.name, d.costs.GuardEval)
 			before := t.Charged()
 			ok, panicked := d.evalGuard(t, name, b, m)
 			if d.quar.GuardBudget > 0 {
@@ -594,7 +787,7 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 		if b.removed || b.quarantined {
 			continue
 		}
-		t.ChargeProf(sim.ProfDispatch, b.handler.Name, d.costs.Invoke)
+		t.ChargeProf(sim.ProfDispatch, b.name, d.costs.Invoke)
 		before := t.Charged()
 		panicked := d.invoke(t, name, b, m)
 		consumed := t.Charged() - before
@@ -603,7 +796,7 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 			// allotment; CPU time beyond it was never consumed.
 			t.Refund(consumed - b.allotment)
 			t.Sim().Tracef(sim.TraceEvent, "%s: handler %s terminated after %v (allotment %v)",
-				name, b.handler.Name, consumed, b.allotment)
+				name, b.name, consumed, b.allotment)
 			b.stats.Terminations++
 			d.fault(t, name, b)
 		}
@@ -614,11 +807,25 @@ func (d *Dispatcher) raise(t *sim.Task, ev *eventState, m *mbuf.Mbuf) int {
 		if mm := t.Sim().Metrics(); mm != nil {
 			// Attribute the handler body's post-clamp consumption; the
 			// slice starts where the body began in virtual time.
-			mm.Sample(t.CPU().Name(), sim.ProfHandler, b.handler.Name, t.Priority(),
+			mm.Sample(t.CPU().Name(), sim.ProfHandler, b.name, t.Priority(),
 				t.Start()+before, t.Charged()-before)
 		}
 		b.stats.Invocations++
 		invoked++
 	}
 	return invoked
+}
+
+// chargeKeyed charges one GuardEval per live keyed binding. Without a
+// metrics sink it is one charge; with one, each guard is still sampled
+// separately (under the index's owner), so profiles count guard
+// evaluations exactly as they would for guard closures.
+func (d *Dispatcher) chargeKeyed(t *sim.Task, kx *keyIndex) {
+	if !t.Sim().MetricsEnabled() {
+		t.Charge(sim.Time(kx.live) * d.costs.GuardEval)
+		return
+	}
+	for i := 0; i < kx.live; i++ {
+		t.ChargeProf(sim.ProfDispatch, kx.owner, d.costs.GuardEval)
+	}
 }

@@ -187,6 +187,61 @@ func TestTCPSimultaneousClose(t *testing.T) {
 	}
 }
 
+// TestTCPCloseInsideAccept has the server close — with and without first
+// writing a reply — from its accept callback, which runs inline in the
+// segment that completes the handshake. The reply and the FIN must both
+// leave, so both ends close in order and unwind with zero conformance
+// violations.
+func TestTCPCloseInsideAccept(t *testing.T) {
+	for _, reply := range []string{"", "hello"} {
+		r := newAuditRig(t, 4)
+		if _, err := r.server.ListenTCP(80, TCPAppOptions{}, func(task *sim.Task, conn *TCPApp) {
+			if reply != "" {
+				if err := conn.Send(task, []byte(reply)); err != nil {
+					t.Errorf("send in accept: %v", err)
+				}
+			}
+			conn.Close(task)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var clientApp *TCPApp
+		var got []byte
+		r.client.Spawn("connect", func(task *sim.Task) {
+			var err error
+			clientApp, err = r.client.ConnectTCP(task, r.server.Addr(), 80, TCPAppOptions{
+				OnRecv:    func(task *sim.Task, conn *TCPApp, data []byte) { got = append(got, data...) },
+				OnPeerFin: func(task *sim.Task, conn *TCPApp) { conn.Close(task) },
+			})
+			if err != nil {
+				t.Errorf("connect: %v", err)
+			}
+		})
+		r.n.Sim.RunUntil(3 * tcp.MSL)
+		if clientApp == nil {
+			t.Fatal("connect never ran")
+		}
+		if string(got) != reply {
+			t.Errorf("reply %q: client received %q", reply, got)
+		}
+		port := clientApp.Conn().LocalPort()
+		path := r.sink.PathString(r.server.Addr(), 80, r.client.Addr(), port)
+		if want := "CLOSED>LISTEN>SYN-RECEIVED>ESTABLISHED>FIN-WAIT-1>FIN-WAIT-2>TIME-WAIT>CLOSED"; path != want {
+			t.Errorf("reply %q: server path %s, want %s", reply, path, want)
+		}
+		if s := clientApp.State(); s != tcp.StateClosed {
+			t.Errorf("reply %q: client state %v, want CLOSED", reply, s)
+		}
+		if r.chk.ViolationCount() != 0 {
+			t.Fatalf("reply %q: %d conformance violations: %+v",
+				reply, r.chk.ViolationCount(), r.chk.Violations())
+		}
+		if n := r.client.TCP.NumConns() + r.server.TCP.NumConns(); n != 0 {
+			t.Fatalf("reply %q: %d TCBs left after both ends closed", reply, n)
+		}
+	}
+}
+
 // TestTCPAuditForceStateCaught injects an illegal transition with the
 // ForceState test hook mid-connection and checks the conformance checker
 // catches it with full event context: host, 4-tuple, timestamp, and the

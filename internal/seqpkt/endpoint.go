@@ -76,8 +76,8 @@ func (m *Manager) Open(port uint16, recv RecvFunc) (*Endpoint, error) {
 		peers:   make(map[peerKey]*peerState),
 	}
 	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		h, ok := parsePacket(pkt)
-		return ok && h.dstPort == port
+		dst, ok := peekDstPort(pkt)
+		return ok && dst == port
 	}
 	b, err := m.disp.Install(RecvEvent, guard,
 		event.Handler{Name: fmt.Sprintf("seqpkt.endpoint:%d", port), Fn: e.deliver, Ephemeral: true}, 0)

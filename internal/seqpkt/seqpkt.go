@@ -94,7 +94,7 @@ type Manager struct {
 	recvRef *event.Ref
 	cpu     *sim.CPU
 	pool    *mbuf.Pool
-	costs osmodel.Costs
+	costs   osmodel.Costs
 
 	ports map[uint16]*Endpoint
 	stats Stats
@@ -213,6 +213,33 @@ func parsePacket(pkt *mbuf.Mbuf) (header, bool) {
 		seq:     uint32(raw[6])<<24 | uint32(raw[7])<<16 | uint32(raw[8])<<8 | uint32(raw[9]),
 		payload: raw[hdrLen:],
 	}, true
+}
+
+// peekDstPort reads a packet's destination port in place, accepting exactly
+// the packets parsePacket accepts: endpoint guards run for every endpoint on
+// every packet, so they must not copy it.
+func peekDstPort(pkt *mbuf.Mbuf) (uint16, bool) {
+	hdr := pkt.Hdr()
+	if hdr == nil {
+		return 0, false
+	}
+	ipv, err := view.IPv4(pkt.Bytes())
+	if err != nil {
+		return 0, false
+	}
+	hl := ipv.HdrLen()
+	if ipv.TotalLen()-hl < hdrLen || ipv.TotalLen() > hdr.Len {
+		return 0, false
+	}
+	var buf [4]byte
+	ports := pkt.Bytes()[hl:]
+	if len(ports) < len(buf) {
+		if pkt.CopyTo(hl, buf[:]) != nil {
+			return 0, false
+		}
+		ports = buf[:]
+	}
+	return uint16(ports[2])<<8 | uint16(ports[3]), true
 }
 
 // send builds and transmits one SPP packet.

@@ -325,3 +325,38 @@ func TestChecksumValidation(t *testing.T) {
 		t.Fatalf("delivered = %d; retransmission did not recover", delivered)
 	}
 }
+
+// TestEndpointGuardsSteadyStateAllocs pins SPP's receive dispatch at zero
+// allocations: every endpoint's guard reads the destination port in place
+// rather than copying the packet. The packet is for a port nobody has open,
+// so all 64 guards run and no handler does.
+func TestEndpointGuardsSteadyStateAllocs(t *testing.T) {
+	n, a, b, _, mb := pairWithSPP(t)
+	for port := uint16(100); port < 164; port++ {
+		if _, err := mb.Open(port, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, dst := a.Addr(), b.Addr()
+	raw := []byte{0x45, 0, 0, 32, 0, 0, 0, 0, 64, seqpkt.IPProto, 0, 0,
+		src[0], src[1], src[2], src[3], dst[0], dst[1], dst[2], dst[3],
+		0, 41, 0, 99, 1, 0, 0, 0, 0, 1, 0, 0}
+	pkt := b.Host.Pool.FromBytes(raw, 64)
+	defer pkt.Free()
+	ran := false
+	b.Spawn("raise", func(task *sim.Task) {
+		ran = true
+		avg := testing.AllocsPerRun(100, func() {
+			if got := b.Host.Disp.Raise(task, seqpkt.RecvEvent, pkt); got != 0 {
+				t.Fatalf("packet for an unopened port reached %d endpoints", got)
+			}
+		})
+		if avg != 0 {
+			t.Errorf("SPP dispatch over 64 endpoints allocates %.2f/packet, want 0", avg)
+		}
+	})
+	n.Sim.Run()
+	if !ran {
+		t.Fatal("raise task never ran")
+	}
+}

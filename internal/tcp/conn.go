@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"plexus/internal/event"
-	"plexus/internal/mbuf"
 	"plexus/internal/sim"
 	"plexus/internal/view"
 )
@@ -163,7 +162,7 @@ type ConnStats struct {
 	StaleWndUpdates uint64
 }
 
-// Conn is one TCP connection (a TCB plus its guard binding).
+// Conn is one TCP connection (a TCB plus its keyed binding).
 type Conn struct {
 	mgr  *Manager
 	opts ConnOptions
@@ -249,8 +248,8 @@ type Conn struct {
 	probeTag any
 }
 
-// newConn allocates a TCB and installs its guard (exact 4-tuple match — the
-// anti-snooping edge) on TCP.PacketRecv.
+// newConn allocates a TCB and installs its binding on TCP.PacketRecv, keyed
+// on the exact 4-tuple — the anti-snooping edge.
 func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, opts ConnOptions) *Conn {
 	c := &Conn{
 		mgr:        m,
@@ -285,23 +284,20 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 	c.cc = newCC(name)
 	c.ccName = c.cc.Name()
 	c.cc.Init(c)
-	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		s, ok := parseSeg(pkt)
-		return ok && s.dstPort == c.localPort && s.srcPort == c.remotePort && s.src == c.remoteAddr
-	}
+	key := connKey{localPort, remote, remotePort}
 	h := event.Handler{
 		Name:      fmt.Sprintf("tcp.conn:%d-%v:%d", localPort, remote, remotePort),
 		Fn:        c.segArrives,
 		Ephemeral: true,
 	}
-	b, err := m.disp.Install(RecvEvent, guard, h, 0)
+	b, err := m.disp.InstallKeyed(RecvEvent, key.id(), h, 0)
 	if err != nil {
-		// RecvEvent is always declared by New; install can only fail on
-		// a nil handler, which cannot happen here.
+		// RecvEvent is always declared keyed by New; install can only fail
+		// on a nil handler, which cannot happen here.
 		panic(err)
 	}
 	c.binding = b
-	m.conns[connKey{localPort, remote, remotePort}] = c
+	m.conns[key] = c
 	m.connList = append(m.connList, c)
 	return c
 }

@@ -67,7 +67,8 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 	if s.flags&view.TCPAck == 0 {
 		return
 	}
-	if c.state == StateSynRcvd {
+	passiveOpen := c.state == StateSynRcvd
+	if passiveOpen {
 		if seqLE(c.snd.una, s.ack) && seqLE(s.ack, c.snd.nxt) {
 			c.establish(t, segCause(s))
 		} else {
@@ -79,6 +80,16 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 	c.processAck(t, s)
 	if c.dead {
 		return
+	}
+	if passiveOpen {
+		// The application hears of the connection only once the ACK has
+		// retired our SYN: a Send or Close from the accept callback must
+		// find snd.una past it, or output mistakes the SYN's sequence byte
+		// for buffered data and the FIN is never sent.
+		c.notifyEstablished(t)
+		if c.dead {
+			return
+		}
 	}
 	// 5. Payload and FIN processing.
 	c.processText(t, s)
@@ -123,6 +134,7 @@ func (c *Conn) synSentInput(t *sim.Task, s seg) {
 		c.snd.una = s.ack
 		c.sampleRTT(s.ack)
 		c.establish(t, segCause(s))
+		c.notifyEstablished(t)
 		c.sendACK(t)
 		c.output(t)
 	} else {
@@ -172,14 +184,18 @@ func (c *Conn) rstAcceptable(s seg) bool {
 	return seqLE(c.rcv.nxt, s.seq) && seqLT(s.seq, c.rcv.nxt+c.rcv.wnd)
 }
 
-// establish transitions into ESTABLISHED and notifies the application (and,
-// for passive opens, the listener's accept function).
+// establish transitions into ESTABLISHED. The caller notifies the
+// application once our SYN is acknowledged.
 func (c *Conn) establish(t *sim.Task, cause Cause) {
-	wasSynRcvd := c.state == StateSynRcvd
 	c.setState(StateEstablished, cause)
 	c.disarmRexmit()
 	c.synRetries = 0
-	if wasSynRcvd && c.listener != nil && c.listener.accept != nil {
+}
+
+// notifyEstablished runs the listener's accept function (passive opens) and
+// the connection's OnEstablished callback.
+func (c *Conn) notifyEstablished(t *sim.Task) {
+	if c.listener != nil && c.listener.accept != nil {
 		c.listener.accept(t, c)
 	}
 	if c.opts.OnEstablished != nil {

@@ -1,6 +1,8 @@
 // Package tcp implements the TCP node of the protocol graph: a protocol
 // manager that validates segments and demultiplexes them to connections via
-// guards, and a connection state machine with sliding windows, Jacobson/Karn
+// guards — keyed on the 4-tuple, so the dispatcher finds a segment's
+// connection by lookup rather than by running every connection's guard —
+// and a connection state machine with sliding windows, Jacobson/Karn
 // retransmission timing, slow start, congestion avoidance, and fast
 // retransmit.
 //
@@ -13,6 +15,7 @@
 package tcp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -115,6 +118,18 @@ type connKey struct {
 	remotePort uint16
 }
 
+// id packs the key into the 64-bit dispatch key of the connection's
+// binding on RecvEvent.
+func (k connKey) id() uint64 {
+	return uint64(k.localPort)<<48 | uint64(binary.BigEndian.Uint32(k.remoteAddr[:]))<<16 | uint64(k.remotePort)
+}
+
+// recvKey is RecvEvent's key extractor: an incoming segment's connection key.
+func recvKey(pkt *mbuf.Mbuf) (uint64, bool) {
+	k, ok := peekKey(pkt)
+	return k.id(), ok
+}
+
 // Config wires a Manager.
 type Config struct {
 	Sim   *sim.Sim
@@ -164,7 +179,7 @@ func New(cfg Config) (*Manager, error) {
 	if cfg.CPU != nil {
 		m.hostName = cfg.CPU.Name()
 	}
-	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral}); err != nil {
+	if err := cfg.Disp.Declare(RecvEvent, event.Options{RequireEphemeral: cfg.RequireEphemeral, Key: recvKey}); err != nil {
 		return nil, err
 	}
 	m.recvRef = cfg.Disp.Ref(RecvEvent)
@@ -175,8 +190,8 @@ func New(cfg Config) (*Manager, error) {
 		if len(m.claimed) == 0 {
 			return true
 		}
-		s, ok := parseSeg(pkt)
-		return ok && !m.claimed[s.dstPort] && !m.claimed[s.srcPort]
+		k, ok := peekKey(pkt)
+		return ok && !m.claimed[k.localPort] && !m.claimed[k.remotePort]
 	}
 	_, err := cfg.Disp.Install(ip.RecvEvent, guard,
 		event.Ephemeral("tcp.input", m.input), 0)
@@ -310,6 +325,43 @@ func parseSeg(pkt *mbuf.Mbuf) (seg, bool) {
 	return s, true
 }
 
+// peekKey reads the key of the connection an incoming segment belongs to —
+// its destination port, source address and source port — without copying
+// the segment, and accepts exactly the segments parseSeg accepts. A TCP
+// header that straddles mbufs is read through a stack buffer.
+func peekKey(pkt *mbuf.Mbuf) (connKey, bool) {
+	hdr := pkt.Hdr()
+	if hdr == nil {
+		return connKey{}, false
+	}
+	ipv, err := view.IPv4(pkt.Bytes())
+	if err != nil {
+		return connKey{}, false
+	}
+	hl := ipv.HdrLen()
+	segLen := ipv.TotalLen() - hl
+	if segLen < view.TCPMinHdrLen || hl+segLen > hdr.Len {
+		return connKey{}, false
+	}
+	// Ports and data offset: the first 13 bytes of the TCP header.
+	var buf [13]byte
+	th := pkt.Bytes()[hl:]
+	if len(th) < len(buf) {
+		if pkt.CopyTo(hl, buf[:]) != nil {
+			return connKey{}, false
+		}
+		th = buf[:]
+	}
+	if off := int(th[12]>>4) * 4; off < view.TCPMinHdrLen || off > segLen {
+		return connKey{}, false
+	}
+	return connKey{
+		localPort:  binary.BigEndian.Uint16(th[2:]),
+		remoteAddr: ipv.Src(),
+		remotePort: binary.BigEndian.Uint16(th[0:]),
+	}, true
+}
+
 // segTextLen returns the sequence-space length of a segment (payload plus
 // SYN/FIN flags).
 func (s seg) segTextLen() uint32 {
@@ -426,14 +478,14 @@ func (m *Manager) Listen(port uint16, opts ConnOptions, accept func(t *sim.Task,
 	}
 	l := &Listener{mgr: m, port: port, accept: accept, opts: opts}
 	guard := func(t *sim.Task, pkt *mbuf.Mbuf) bool {
-		s, ok := parseSeg(pkt)
-		if !ok || s.dstPort != port {
+		k, ok := peekKey(pkt)
+		if !ok || k.localPort != port {
 			return false
 		}
 		// Established connections have their own bindings, installed
 		// before this one's turn only for new peers: reject segments
 		// belonging to an existing connection.
-		_, exists := m.conns[connKey{port, s.src, s.srcPort}]
+		_, exists := m.conns[k]
 		return !exists
 	}
 	h := event.Handler{Name: fmt.Sprintf("tcp.listen:%d", port), Fn: l.input, Ephemeral: true}
