@@ -207,30 +207,42 @@ func (p *Pool) GetCluster() *Mbuf {
 // without further allocation. This is the normal way an application payload
 // enters the stack.
 func (p *Pool) FromBytes(data []byte, headroom int) *Mbuf {
-	if headroom < 0 || headroom > MLEN {
-		panic(fmt.Sprintf("mbuf: bad headroom %d", headroom))
+	head := p.Alloc(len(data), headroom)
+	for m := head; m != nil; m = m.next {
+		data = data[copy(m.Bytes(), data):]
+	}
+	return head
+}
+
+// Alloc builds a writable packet chain of n bytes laid out exactly as
+// FromBytes lays out n bytes of data — the head mbuf after headroom bytes
+// of leading space, then clusters while more than MLEN bytes remain, then a
+// small mbuf — for a caller that fills the chain itself (walking it with
+// Next and MutableBytes). The bytes are not cleared: recycled storage holds
+// stale data, so the caller must write every byte.
+func (p *Pool) Alloc(n, headroom int) *Mbuf {
+	if headroom < 0 || headroom > MLEN || n < 0 {
+		panic(fmt.Sprintf("mbuf: bad chain length %d or headroom %d", n, headroom))
 	}
 	head := p.GetPkt()
 	head.off = headroom
-	n := copy(head.small[headroom:], data)
-	head.len = n
-	data = data[n:]
+	head.len = min(n, MLEN-headroom)
+	head.hdr.Len = n
+	n -= head.len
 	tail := head
-	for len(data) > 0 {
+	for n > 0 {
 		var m *Mbuf
-		if len(data) > MLEN {
+		if n > MLEN {
 			m = p.GetCluster()
-			n = copy(m.clust.buf, data)
+			m.len = min(n, MCLBYTES)
 		} else {
 			m = p.Get()
-			n = copy(m.small[:], data)
+			m.len = n
 		}
-		m.len = n
-		data = data[n:]
+		n -= m.len
 		tail.next = m
 		tail = m
 	}
-	head.hdr.Len = head.chainLen()
 	return head
 }
 

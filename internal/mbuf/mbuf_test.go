@@ -69,6 +69,33 @@ func TestBadHeadroomPanics(t *testing.T) {
 	NewPool().FromBytes(nil, MLEN+1)
 }
 
+// TestAllocMatchesFromBytesLayout pins Alloc to FromBytes's chain shape:
+// the same mbufs, clusters and per-mbuf lengths for every size across the
+// head, small and cluster boundaries.
+func TestAllocMatchesFromBytesLayout(t *testing.T) {
+	p := NewPool()
+	for _, headroom := range []int{0, 64, MLEN} {
+		for n := 0; n < 3*MCLBYTES+2*MLEN; n += 37 {
+			a, f := p.Alloc(n, headroom), p.FromBytes(payload(n), headroom)
+			if err := a.CheckInvariants(); err != nil {
+				t.Fatalf("n=%d headroom=%d: %v", n, headroom, err)
+			}
+			ma, mf := a, f
+			for ; ma != nil && mf != nil; ma, mf = ma.Next(), mf.Next() {
+				if ma.Len() != mf.Len() || ma.IsCluster() != mf.IsCluster() || ma.off != mf.off {
+					t.Fatalf("n=%d headroom=%d: Alloc mbuf (len %d, cluster %v, off %d), FromBytes (len %d, cluster %v, off %d)",
+						n, headroom, ma.Len(), ma.IsCluster(), ma.off, mf.Len(), mf.IsCluster(), mf.off)
+				}
+			}
+			if ma != nil || mf != nil || a.PktLen() != n {
+				t.Fatalf("n=%d headroom=%d: Alloc has %d mbufs (len %d), FromBytes %d", n, headroom, a.NumBufs(), a.PktLen(), f.NumBufs())
+			}
+			a.Free()
+			f.Free()
+		}
+	}
+}
+
 func TestPrependInPlace(t *testing.T) {
 	p := NewPool()
 	m := p.FromBytes(payload(32), 64)

@@ -9,7 +9,8 @@ import (
 
 // TCPAppOptions configure application-level connections.
 type TCPAppOptions struct {
-	// OnRecv delivers stream bytes in order (slice owned by callee).
+	// OnRecv delivers stream bytes in order. The slice is borrowed: valid
+	// only during the call; copy to retain.
 	OnRecv func(t *sim.Task, conn *TCPApp, data []byte)
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func(t *sim.Task, conn *TCPApp)
@@ -32,6 +33,12 @@ type TCPApp struct {
 	st   *Stack
 	conn *tcp.Conn
 	opts TCPAppOptions
+	// recvLabel is the user-task label of Monolithic deliveries, built once.
+	recvLabel string
+}
+
+func (st *Stack) newTCPApp(conn *tcp.Conn, opts TCPAppOptions) *TCPApp {
+	return &TCPApp{st: st, conn: conn, opts: opts, recvLabel: "tcp-app-recv:" + st.Name()}
 }
 
 func (st *Stack) connOptions(app *TCPApp, opts TCPAppOptions) tcp.ConnOptions {
@@ -63,7 +70,7 @@ func (st *Stack) connOptions(app *TCPApp, opts TCPAppOptions) tcp.ConnOptions {
 
 // ConnectTCP performs an active open to dst:dstPort.
 func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPAppOptions) (*TCPApp, error) {
-	app := &TCPApp{st: st, opts: opts}
+	app := st.newTCPApp(nil, opts)
 	if st.Host.Personality == osmodel.Monolithic {
 		t.Charge(st.Host.Costs.Syscall + st.Host.Costs.SocketLayer)
 	}
@@ -94,7 +101,7 @@ func (st *Stack) ListenTCP(port uint16, opts TCPAppOptions, accept func(t *sim.T
 			}
 		},
 		OnEstablished: func(t *sim.Task, c *tcp.Conn) {
-			app := &TCPApp{st: st, conn: c, opts: opts}
+			app := st.newTCPApp(c, opts)
 			apps[c] = app
 			if accept != nil {
 				app.inAppContext(t, 0, func(task *sim.Task) { accept(task, app) })
@@ -128,27 +135,32 @@ func (app *TCPApp) Options() TCPAppOptions { return app.opts }
 func (app *TCPApp) SetOptions(o TCPAppOptions) { app.opts = o }
 
 // deliver applies receive-side personality structure, then the app callback.
+// On SPIN the callback runs inline and borrows data; on Monolithic the bytes
+// are copied (the modeled copyout) for the woken user task.
 func (app *TCPApp) deliver(t *sim.Task, data []byte) {
 	st := app.st
-	run := func(task *sim.Task) {
-		if app.opts.AppRecvCost > 0 {
-			task.Charge(app.opts.AppRecvCost)
-		}
-		if app.opts.OnRecv != nil {
-			app.opts.OnRecv(task, app, data)
-		}
-	}
 	if st.Host.Personality == osmodel.SPIN {
-		run(t)
+		app.recv(t, data)
 		return
 	}
 	costs := st.Host.Costs
 	t.Charge(costs.SocketLayer + costs.Wakeup)
-	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, "tcp-app-recv:"+st.Name(), func(ut *sim.Task) {
+	data = append([]byte(nil), data...)
+	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, app.recvLabel, func(ut *sim.Task) {
 		ut.Charge(costs.CtxSwitch + costs.Syscall)
 		ut.ChargeBytes(len(data), costs.CopyPerByte)
-		run(ut)
+		app.recv(ut, data)
 	})
+}
+
+// recv charges the application's per-chunk cost and runs its callback.
+func (app *TCPApp) recv(t *sim.Task, data []byte) {
+	if app.opts.AppRecvCost > 0 {
+		t.Charge(app.opts.AppRecvCost)
+	}
+	if app.opts.OnRecv != nil {
+		app.opts.OnRecv(t, app, data)
+	}
 }
 
 // inAppContext runs a control callback with personality structure: inline on

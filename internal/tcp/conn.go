@@ -78,7 +78,7 @@ const (
 // ConnOptions configure a connection's application-visible behaviour.
 type ConnOptions struct {
 	// OnRecv delivers in-order payload bytes as they arrive. The slice is
-	// owned by the callee.
+	// borrowed: valid only during the call; copy to retain.
 	OnRecv func(t *sim.Task, c *Conn, data []byte)
 	// OnEstablished fires when the handshake completes.
 	OnEstablished func(t *sim.Task, c *Conn)
@@ -202,14 +202,19 @@ type Conn struct {
 	lastOOOSeq uint32
 
 	// sndBuf holds bytes from snd.una onward (unacked + unsent).
-	sndBuf []byte
+	sndBuf sendRing
 	// finQueued marks that the application closed its send side; the FIN
 	// goes out after the buffer drains.
 	finQueued bool
 	finSeq    uint32 // sequence of our FIN, valid once sent
 	finSent   bool
 
+	// ooo holds out-of-order segments sorted by sequence number; their
+	// payload buffers come from the manager's free list.
 	ooo []oooSeg
+	// rxBuf is the reused buffer in-order payload is gathered into when it
+	// spans mbufs; OnRecv borrows it for the duration of the call.
+	rxBuf []byte
 
 	// Receiver-side flow control: when the application pauses delivery,
 	// in-order data accumulates in rcvBuf and the advertised window
@@ -330,7 +335,7 @@ func (c *Conn) RemoteAddr() (view.IP4, uint16) { return c.remoteAddr, c.remotePo
 func (c *Conn) RTO() sim.Time { return c.rto }
 
 // SendBufBytes returns how many bytes sit in the send buffer (unacked+unsent).
-func (c *Conn) SendBufBytes() int { return len(c.sndBuf) }
+func (c *Conn) SendBufBytes() int { return c.sndBuf.n }
 
 // --- output ---
 
@@ -353,7 +358,7 @@ func (c *Conn) sendSYN(t *sim.Task) {
 	c.snd.nxt = c.snd.iss + 1
 	c.bumpSndMax()
 	c.stats.SegsSent++
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, 0, view.TCPSyn, c.rcv.wnd, c.synOpts(false), nil)
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, 0, view.TCPSyn, c.rcv.wnd, c.synOpts(false), nil, nil)
 	c.armRexmit()
 	c.startRTT(c.snd.iss)
 }
@@ -362,7 +367,7 @@ func (c *Conn) sendSYNACK(t *sim.Task) {
 	c.snd.nxt = c.snd.iss + 1
 	c.bumpSndMax()
 	c.stats.SegsSent++
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil)
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil, nil)
 	c.armRexmit()
 }
 
@@ -386,7 +391,7 @@ func (c *Conn) segWnd(s seg) uint32 {
 func (c *Conn) sendACK(t *sim.Task) {
 	c.ackTimer.Stop()
 	c.stats.SegsSent++
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPAck, c.wireRcvWnd(), c.ackOpts(), nil)
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPAck, c.wireRcvWnd(), c.ackOpts(), nil, nil)
 }
 
 // scheduleDelayedACK arms the 200ms ACK clock if not already pending.
@@ -394,17 +399,27 @@ func (c *Conn) scheduleDelayedACK() {
 	if c.ackTimer.Pending() {
 		return
 	}
-	c.ackTimer = c.mgr.sim.After(delayedAckDelay, "tcp-delack", func() {
-		if c.dead {
-			return
-		}
-		c.mgr.stats.DelayedAcks++
-		c.mgr.cpu.Submit(sim.PrioKernel, "tcp-delack", func(task *sim.Task) {
-			if !c.dead {
-				c.sendACK(task)
-			}
-		})
-	})
+	c.ackTimer = c.mgr.sim.AfterArg(delayedAckDelay, "tcp-delack", delackFire, c)
+}
+
+// The connection timers schedule these package-level functions with the
+// *Conn as argument (Sim.AfterArg, CPU.SubmitAtArg), so re-arming a timer
+// allocates nothing. Each expiry submits a kernel task at the current time,
+// exactly as Submit would.
+
+func delackFire(a any) {
+	c := a.(*Conn)
+	if c.dead {
+		return
+	}
+	c.mgr.stats.DelayedAcks++
+	c.mgr.cpu.SubmitAtArg(c.mgr.sim.Now(), sim.PrioKernel, "tcp-delack", delackTask, c)
+}
+
+func delackTask(t *sim.Task, a any) {
+	if c := a.(*Conn); !c.dead {
+		c.sendACK(t)
+	}
 }
 
 // Send appends data to the connection's stream. It is accepted immediately
@@ -418,7 +433,7 @@ func (c *Conn) Send(t *sim.Task, data []byte) error {
 	if c.finQueued {
 		return ErrClosed
 	}
-	c.sndBuf = append(c.sndBuf, data...)
+	c.sndBuf.write(data)
 	c.output(t)
 	return nil
 }
@@ -451,7 +466,7 @@ func (c *Conn) Abort(t *sim.Task) {
 		return
 	}
 	c.mgr.stats.RSTsSent++
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPRst|view.TCPAck, 0, nil, nil)
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPRst|view.TCPAck, 0, nil, nil, nil)
 	c.teardown(ErrReset, userCause(CauseAbort))
 }
 
@@ -479,10 +494,10 @@ func (c *Conn) output(t *sim.Task) {
 		offset := c.snd.nxt - c.snd.una // bytes of sndBuf already in flight
 		// The FIN occupies sequence space beyond the buffer; once it (or
 		// all buffered data) is in flight there is nothing new to send.
-		if offset >= uint32(len(c.sndBuf)) {
+		if offset >= uint32(c.sndBuf.n) {
 			break
 		}
-		avail := uint32(len(c.sndBuf)) - offset
+		avail := uint32(c.sndBuf.n) - offset
 		if c.usableWindow() == 0 {
 			break
 		}
@@ -505,10 +520,9 @@ func (c *Conn) output(t *sim.Task) {
 		if c.paceGate(n) {
 			break
 		}
-		payload := c.sndBuf[offset : offset+n]
 		flags := uint8(view.TCPAck)
 		// PSH on the last segment of the buffered data.
-		if offset+n == uint32(len(c.sndBuf)) {
+		if offset+n == uint32(c.sndBuf.n) {
 			flags |= view.TCPPsh
 		}
 		seq := c.snd.nxt
@@ -517,27 +531,35 @@ func (c *Conn) output(t *sim.Task) {
 		c.stats.SegsSent++
 		c.stats.BytesSent += uint64(n)
 		c.ackTimer.Stop() // data segment carries the ACK
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, seq, c.rcv.nxt, flags, c.wireRcvWnd(), nil, payload)
+		c.sendData(t, seq, flags, offset, n)
 		c.startRTT(seq)
 		c.armRexmit()
 	}
 	// Stalled with data waiting and either a closed window or nothing in
 	// flight to draw further ACKs (the sender-SWS small-window case):
 	// enter persist mode so a silent peer cannot deadlock the connection.
-	if c.snd.nxt-c.snd.una < uint32(len(c.sndBuf)) &&
+	if c.snd.nxt-c.snd.una < uint32(c.sndBuf.n) &&
 		(c.snd.wnd == 0 || c.snd.nxt == c.snd.una) {
 		c.armPersist()
 	}
 	// Send the FIN once the buffer has fully drained into the window.
-	if c.finQueued && !c.finSent && c.snd.nxt == c.snd.una+uint32(len(c.sndBuf)) {
+	if c.finQueued && !c.finSent && c.snd.nxt == c.snd.una+uint32(c.sndBuf.n) {
 		c.finSeq = c.snd.nxt
 		c.snd.nxt++
 		c.bumpSndMax()
 		c.finSent = true
 		c.stats.SegsSent++
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.finSeq, c.rcv.nxt, view.TCPFin|view.TCPAck, c.wireRcvWnd(), nil, nil)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.finSeq, c.rcv.nxt, view.TCPFin|view.TCPAck, c.wireRcvWnd(), nil, nil, nil)
 		c.armRexmit()
 	}
+}
+
+// sendData transmits n buffered bytes starting offset bytes past snd.una as
+// one segment with sequence number seq; the payload is read straight out of
+// the send ring.
+func (c *Conn) sendData(t *sim.Task, seq uint32, flags uint8, offset, n uint32) {
+	p1, p2 := c.sndBuf.span(int(offset), int(n))
+	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, seq, c.rcv.nxt, flags, c.wireRcvWnd(), nil, p1, p2)
 }
 
 // paceGate enforces the congestion controller's pacing schedule: it returns
@@ -561,16 +583,19 @@ func (c *Conn) armPace(d sim.Time) {
 	if c.paceTimer.Pending() {
 		return
 	}
-	c.paceTimer = c.mgr.sim.After(d, "tcp-pace", func() {
-		if c.dead {
-			return
-		}
-		c.mgr.cpu.Submit(sim.PrioKernel, "tcp-pace", func(task *sim.Task) {
-			if !c.dead {
-				c.output(task)
-			}
-		})
-	})
+	c.paceTimer = c.mgr.sim.AfterArg(d, "tcp-pace", paceFire, c)
+}
+
+func paceFire(a any) {
+	if c := a.(*Conn); !c.dead {
+		c.mgr.cpu.SubmitAtArg(c.mgr.sim.Now(), sim.PrioKernel, "tcp-pace", paceTask, c)
+	}
+}
+
+func paceTask(t *sim.Task, a any) {
+	if c := a.(*Conn); !c.dead {
+		c.output(t)
+	}
 }
 
 // --- timers & RTT ---
@@ -628,16 +653,19 @@ func (c *Conn) armRexmit() {
 	if rto > maxRTO {
 		rto = maxRTO
 	}
-	c.rexmitTimer = c.mgr.sim.After(rto, "tcp-rexmit", func() {
-		if c.dead {
-			return
-		}
-		c.mgr.cpu.Submit(sim.PrioKernel, "tcp-rexmit", func(task *sim.Task) {
-			if !c.dead {
-				c.onRexmitTimeout(task)
-			}
-		})
-	})
+	c.rexmitTimer = c.mgr.sim.AfterArg(rto, "tcp-rexmit", rexmitFire, c)
+}
+
+func rexmitFire(a any) {
+	if c := a.(*Conn); !c.dead {
+		c.mgr.cpu.SubmitAtArg(c.mgr.sim.Now(), sim.PrioKernel, "tcp-rexmit", rexmitTask, c)
+	}
+}
+
+func rexmitTask(t *sim.Task, a any) {
+	if c := a.(*Conn); !c.dead {
+		c.onRexmitTimeout(t)
+	}
 }
 
 func (c *Conn) disarmRexmit() {
@@ -663,7 +691,7 @@ func (c *Conn) onRexmitTimeout(t *sim.Task) {
 			return
 		}
 		c.stats.Retransmits++
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, 0, view.TCPSyn, c.rcv.wnd, c.synOpts(false), nil)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, 0, view.TCPSyn, c.rcv.wnd, c.synOpts(false), nil, nil)
 		c.armRexmit()
 		return
 	case StateSynRcvd:
@@ -673,7 +701,7 @@ func (c *Conn) onRexmitTimeout(t *sim.Task) {
 			return
 		}
 		c.stats.Retransmits++
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil, nil)
 		c.armRexmit()
 		return
 	}
@@ -729,13 +757,13 @@ func (c *Conn) retransmitHole(t *sim.Task, start, end uint32) uint32 {
 		start = c.snd.una
 	}
 	offset := start - c.snd.una
-	buflen := uint32(len(c.sndBuf))
+	buflen := uint32(c.sndBuf.n)
 	if offset >= buflen {
 		// Only the FIN lives beyond the buffer.
 		if c.finSent && seqLE(c.snd.una, c.finSeq) && seqLE(start, c.finSeq) {
 			c.stats.Retransmits++
 			c.cancelRTT()
-			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.finSeq, c.rcv.nxt, view.TCPFin|view.TCPAck, c.wireRcvWnd(), nil, nil)
+			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.finSeq, c.rcv.nxt, view.TCPFin|view.TCPAck, c.wireRcvWnd(), nil, nil, nil)
 		}
 		return 0
 	}
@@ -750,8 +778,7 @@ func (c *Conn) retransmitHole(t *sim.Task, start, end uint32) uint32 {
 	}
 	c.stats.Retransmits++
 	c.cancelRTT()
-	payload := c.sndBuf[offset : offset+n]
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, start, c.rcv.nxt, view.TCPAck|view.TCPPsh, c.wireRcvWnd(), nil, payload)
+	c.sendData(t, start, view.TCPAck|view.TCPPsh, offset, n)
 	return n
 }
 
@@ -805,6 +832,7 @@ func (c *Conn) teardown(err error, cause Cause) {
 	c.twTimer.Stop()
 	c.paceTimer.Stop()
 	c.disarmPersist()
+	c.releaseBuffers()
 	c.mgr.disp.Uninstall(c.binding)
 	delete(c.mgr.conns, connKey{c.localPort, c.remoteAddr, c.remotePort})
 	for i, lc := range c.mgr.connList {
@@ -823,18 +851,35 @@ func (c *Conn) teardown(err error, cause Cause) {
 func (c *Conn) enterTimeWait(cause Cause) {
 	c.setState(StateTimeWait, cause)
 	c.disarmRexmit()
+	c.releaseBuffers()
 	c.rearmTimeWait()
+}
+
+// releaseBuffers drops the connection's data buffers once no byte can move
+// through them again (TIME-WAIT or teardown): the send ring and receive
+// buffer go to the garbage collector, out-of-order payload buffers back to
+// the manager's free list. A TIME-WAIT TCB then holds no buffer memory
+// through its 2*MSL wait.
+func (c *Conn) releaseBuffers() {
+	c.sndBuf = sendRing{}
+	c.rxBuf = nil
+	for _, o := range c.ooo {
+		c.mgr.putOOOBuf(o.payload)
+	}
+	c.ooo = nil
 }
 
 // rearmTimeWait (re)starts the 2*MSL timer. A retransmitted FIN arriving in
 // TIME-WAIT restarts it (RFC 793 p.73); only its expiry may leave the state.
 func (c *Conn) rearmTimeWait() {
 	c.twTimer.Stop()
-	c.twTimer = c.mgr.sim.After(2*msl, "tcp-timewait", func() {
-		if !c.dead {
-			c.teardown(nil, timerCause(Cause2MSL))
-		}
-	})
+	c.twTimer = c.mgr.sim.AfterArg(2*msl, "tcp-timewait", timeWaitFire, c)
+}
+
+func timeWaitFire(a any) {
+	if c := a.(*Conn); !c.dead {
+		c.teardown(nil, timerCause(Cause2MSL))
+	}
 }
 
 // --- receiver flow control and the persist timer ---
@@ -887,17 +932,19 @@ func (c *Conn) armPersist() {
 	if d > maxPersistInterval {
 		d = maxPersistInterval
 	}
-	c.persistTimer = c.mgr.sim.After(d, "tcp-persist", func() {
-		if c.dead {
-			return
-		}
-		c.mgr.cpu.Submit(sim.PrioKernel, "tcp-persist", func(task *sim.Task) {
-			if c.dead {
-				return
-			}
-			c.sendWindowProbe(task)
-		})
-	})
+	c.persistTimer = c.mgr.sim.AfterArg(d, "tcp-persist", persistFire, c)
+}
+
+func persistFire(a any) {
+	if c := a.(*Conn); !c.dead {
+		c.mgr.cpu.SubmitAtArg(c.mgr.sim.Now(), sim.PrioKernel, "tcp-persist", persistTask, c)
+	}
+}
+
+func persistTask(t *sim.Task, a any) {
+	if c := a.(*Conn); !c.dead {
+		c.sendWindowProbe(t)
+	}
 }
 
 func (c *Conn) disarmPersist() {
@@ -913,10 +960,10 @@ func (c *Conn) disarmPersist() {
 // so a lost window update cannot deadlock the connection.
 func (c *Conn) sendWindowProbe(t *sim.Task) {
 	offset := c.snd.nxt - c.snd.una
-	if offset >= uint32(len(c.sndBuf)) {
+	if offset >= uint32(c.sndBuf.n) {
 		return // nothing left to probe with
 	}
-	avail := uint32(len(c.sndBuf)) - offset
+	avail := uint32(c.sndBuf.n) - offset
 	if w := c.usableWindow(); w >= c.mss || w >= avail {
 		// The window reopened; transmit normally.
 		c.output(t)
@@ -935,8 +982,7 @@ func (c *Conn) sendWindowProbe(t *sim.Task) {
 	}
 	c.stats.WindowProbes++
 	c.stats.SegsSent++
-	payload := c.sndBuf[offset : offset+n]
-	c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.nxt, c.rcv.nxt, view.TCPAck|view.TCPPsh, c.wireRcvWnd(), nil, payload)
+	c.sendData(t, c.snd.nxt, view.TCPAck|view.TCPPsh, offset, n)
 	if inWindow {
 		// A forced in-window send is real transmission: it advances
 		// snd.nxt and is covered by the retransmission timer.

@@ -1,8 +1,6 @@
 package tcp
 
 import (
-	"sort"
-
 	"plexus/internal/mbuf"
 	"plexus/internal/sim"
 	"plexus/internal/view"
@@ -60,7 +58,7 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 	// Duplicate SYN|ACK retransmission handling in SYN-RCVD: re-ack.
 	if c.state == StateSynRcvd && s.flags&view.TCPSyn != 0 {
 		c.stats.SegsSent++
-		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil)
+		c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, c.snd.iss, c.rcv.nxt, view.TCPSyn|view.TCPAck, c.rcv.wnd, c.synOpts(true), nil, nil)
 		return
 	}
 	// 4. ACK processing.
@@ -73,7 +71,7 @@ func (c *Conn) segArrives(t *sim.Task, pkt *mbuf.Mbuf) {
 			c.establish(t, segCause(s))
 		} else {
 			c.mgr.stats.RSTsSent++
-			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil)
+			c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil, nil)
 			return
 		}
 	}
@@ -106,7 +104,7 @@ func (c *Conn) synSentInput(t *sim.Task, s seg) {
 				c.mgr.stats.RSTsRejected++
 			} else {
 				c.mgr.stats.RSTsSent++
-				c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil)
+				c.mgr.sendSegment(t, c.localPort, c.remoteAddr, c.remotePort, s.ack, 0, view.TCPRst, 0, nil, nil, nil)
 			}
 			return
 		}
@@ -293,7 +291,7 @@ func (c *Conn) processAck(t *sim.Task, s seg) {
 	c.backoff = 0 // forward progress: the path is passing traffic again
 	// An ACK covering one byte past the remaining buffer can only be our
 	// FIN — it was rewound by a timeout but had already reached the peer.
-	if c.finQueued && !c.finSent && acked > uint32(len(c.sndBuf)) {
+	if c.finQueued && !c.finSent && acked > uint32(c.sndBuf.n) {
 		c.finSent = true
 	}
 	// Slide the send buffer past acknowledged bytes (FIN occupies sequence
@@ -302,11 +300,7 @@ func (c *Conn) processAck(t *sim.Task, s seg) {
 	if c.finSent && seqGT(ack, c.finSeq) {
 		dataAcked--
 	}
-	if uint32(len(c.sndBuf)) >= dataAcked {
-		c.sndBuf = c.sndBuf[dataAcked:]
-	} else {
-		c.sndBuf = nil
-	}
+	c.sndBuf.consume(int(dataAcked))
 	c.snd.una = ack
 	if seqGT(c.snd.una, c.snd.nxt) {
 		c.snd.nxt = c.snd.una // ack overtook a rewound snd.nxt
@@ -367,7 +361,7 @@ func (c *Conn) staleAck(t *sim.Task, s seg, newSack bool) {
 	// snd.una with data outstanding. A segment carrying new SACK
 	// information counts as a duplicate regardless of its window field
 	// (RFC 6675): the SACK proves the receiver took a new segment.
-	isDup := s.ack == c.snd.una && c.hasUnackedData() && len(s.payload) == 0 &&
+	isDup := s.ack == c.snd.una && c.hasUnackedData() && s.dataLen == 0 &&
 		s.flags&(view.TCPSyn|view.TCPFin) == 0 &&
 		(newSack || c.segWnd(s) == wndBefore)
 	c.updateSndWnd(s)
@@ -493,7 +487,7 @@ func (c *Conn) processText(t *sim.Task, s seg) {
 		return
 	}
 	fin := s.flags&view.TCPFin != 0
-	if len(s.payload) == 0 && !fin {
+	if s.dataLen == 0 && !fin {
 		return
 	}
 	if seqGT(s.seq, c.rcv.nxt) {
@@ -504,22 +498,22 @@ func (c *Conn) processText(t *sim.Task, s seg) {
 		return
 	}
 	// Trim any already-received prefix.
-	payload := s.payload
+	skip := 0
 	if seqLT(s.seq, c.rcv.nxt) {
-		skip := c.rcv.nxt - s.seq
-		if skip >= uint32(len(payload)) {
+		k := c.rcv.nxt - s.seq
+		if k >= uint32(s.dataLen) {
 			if !fin || seqGT(s.seq+s.segTextLen(), c.rcv.nxt) {
 				// Possibly a bare retransmitted FIN; fall through.
-				payload = nil
+				skip = s.dataLen
 			} else {
 				c.sendACK(t)
 				return
 			}
 		} else {
-			payload = payload[skip:]
+			skip = int(k)
 		}
 	}
-	c.deliver(t, payload)
+	c.deliver(t, c.payload(s, skip))
 	if fin {
 		c.rcv.nxt++ // the FIN occupies one sequence number
 	}
@@ -536,7 +530,7 @@ func (c *Conn) processText(t *sim.Task, s seg) {
 		return
 	}
 	// ACK strategy: every second full segment immediately, else delayed.
-	if uint32(len(s.payload)) >= c.mss {
+	if uint32(s.dataLen) >= c.mss {
 		if c.ackTimer.Pending() {
 			c.sendACK(t)
 		} else {
@@ -565,22 +559,53 @@ func (c *Conn) deliver(t *sim.Task, payload []byte) {
 	}
 }
 
-// bufferOOO stores an out-of-order segment (bounded; drops beyond the cap).
+// payload returns the segment's payload from byte skip on, borrowed for
+// the duration of delivery: in place when it lies in the head mbuf, else
+// gathered into the connection's reused receive buffer.
+func (c *Conn) payload(s seg, skip int) []byte {
+	off, n := s.dataOff+skip, s.dataLen-skip
+	if n <= 0 {
+		return nil
+	}
+	if b := s.pkt.Bytes(); off+n <= len(b) {
+		return b[off : off+n]
+	}
+	if cap(c.rxBuf) < n {
+		c.rxBuf = make([]byte, max(n, int(c.mss)))
+	}
+	buf := c.rxBuf[:n]
+	// parseSeg bounded the payload inside the chain, so the copy cannot
+	// fail.
+	_ = s.pkt.CopyTo(off, buf)
+	return buf
+}
+
+// bufferOOO stores an out-of-order segment (bounded; drops beyond the cap),
+// copying its payload into a buffer from the manager's free list and
+// inserting it in sequence order.
 func (c *Conn) bufferOOO(s seg) {
 	if len(c.ooo) >= maxOOOSegs {
 		c.stats.OOODropped++
 		return
 	}
-	for _, o := range c.ooo {
-		if o.seq == s.seq {
-			return // duplicate
-		}
+	// Arrivals mostly extend the queue, so find the slot from the back.
+	i := len(c.ooo)
+	for i > 0 && seqGT(c.ooo[i-1].seq, s.seq) {
+		i--
+	}
+	if i > 0 && c.ooo[i-1].seq == s.seq {
+		return // duplicate
 	}
 	c.stats.OOOBuffered++
 	c.lastOOOSeq = s.seq
-	p := append([]byte(nil), s.payload...)
-	c.ooo = append(c.ooo, oooSeg{seq: s.seq, payload: p, fin: s.flags&view.TCPFin != 0})
-	sort.Slice(c.ooo, func(i, j int) bool { return seqLT(c.ooo[i].seq, c.ooo[j].seq) })
+	p := c.mgr.getOOOBuf(s.dataLen)
+	_ = s.pkt.CopyTo(s.dataOff, p) // in bounds: see payload
+	if c.ooo == nil {
+		c.ooo = make([]oooSeg, 0, maxOOOSegs)
+	}
+	c.ooo = append(c.ooo, oooSeg{})
+	copy(c.ooo[i+1:], c.ooo[i:])
+	c.ooo[i] = oooSeg{seq: s.seq, payload: p, fin: s.flags&view.TCPFin != 0}
 }
 
 // drainOOO delivers buffered segments that have become contiguous; it
@@ -589,12 +614,15 @@ func (c *Conn) bufferOOO(s seg) {
 func (c *Conn) drainOOO(t *sim.Task) (bool, uint32) {
 	fin := false
 	var finSeq uint32
-	for len(c.ooo) > 0 {
-		o := c.ooo[0]
+	i := 0
+	for ; i < len(c.ooo); i++ {
+		o := c.ooo[i]
 		if seqGT(o.seq, c.rcv.nxt) {
 			break
 		}
-		c.ooo = c.ooo[1:]
+		// Clear the slot first: a teardown from inside delivery releases
+		// the rest of the queue, but this buffer is returned below.
+		c.ooo[i] = oooSeg{}
 		payload := o.payload
 		if seqLT(o.seq, c.rcv.nxt) {
 			skip := c.rcv.nxt - o.seq
@@ -605,13 +633,43 @@ func (c *Conn) drainOOO(t *sim.Task) (bool, uint32) {
 			}
 		}
 		c.deliver(t, payload)
+		c.mgr.putOOOBuf(o.payload)
 		if o.fin {
 			c.rcv.nxt++
 			fin = true
 			finSeq = o.seq
 		}
+		if c.dead {
+			return fin, finSeq
+		}
 	}
+	n := copy(c.ooo, c.ooo[i:])
+	clear(c.ooo[n:])
+	c.ooo = c.ooo[:n]
 	return fin, finSeq
+}
+
+// getOOOBuf returns an n-byte buffer for out-of-order payload, from the free
+// list when one fits.
+func (m *Manager) getOOOBuf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	if k := len(m.oooFree); k > 0 && cap(m.oooFree[k-1]) >= n {
+		b := m.oooFree[k-1]
+		m.oooFree[k-1] = nil
+		m.oooFree = m.oooFree[:k-1]
+		return b[:n]
+	}
+	return make([]byte, n, max(n, m.MSS()))
+}
+
+// putOOOBuf returns an out-of-order payload buffer to the free list; only
+// MSS-sized buffers are kept.
+func (m *Manager) putOOOBuf(b []byte) {
+	if cap(b) >= m.MSS() {
+		m.oooFree = append(m.oooFree, b[:0])
+	}
 }
 
 // peerFin runs the state transitions for a received FIN and acks it.

@@ -86,7 +86,7 @@ func TestSegTextLen(t *testing.T) {
 		{5, 0x03 /*SYN|FIN*/, 7},
 	}
 	for _, c := range cases {
-		s := seg{payload: make([]byte, c.payload), flags: c.flags}
+		s := seg{dataLen: c.payload, flags: c.flags}
 		if got := s.segTextLen(); got != c.want {
 			t.Errorf("segTextLen(payload=%d flags=%#x) = %d, want %d", c.payload, c.flags, got, c.want)
 		}

@@ -1,6 +1,9 @@
 package view
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Internet checksum (RFC 1071), with an accumulator form so transport layers
 // can checksum a pseudo-header followed by a payload that spans mbuf chains
@@ -14,21 +17,36 @@ type Accum struct {
 	odd bool
 }
 
-// Add folds b into the accumulator. Aligned runs are consumed eight bytes
-// (four checksum words) per load — this is the per-packet hot loop of every
-// modeled IP/UDP/TCP checksum, and the 64-bit accumulator defers all carry
-// folding to Fold.
+// Add folds b into the accumulator. This is the per-packet hot loop of
+// every modeled IP/UDP/TCP checksum. Aligned runs are summed as 64-bit
+// big-endian words on an add-with-carry chain (end-around carry): 2^16 ≡ 1
+// modulo 0xffff, so that sum is congruent to the sum of the 16-bit checksum
+// words, and it is zero only when every word is, so Fold's result is exactly
+// RFC 1071's. The chain is folded to 33 bits before it joins the
+// accumulator, which defers the rest of the carry folding to Fold.
 func (a *Accum) Add(b []byte) {
-	i := 0
 	if a.odd && len(b) > 0 {
 		a.sum += uint64(b[0])
 		a.odd = false
-		i = 1
+		b = b[1:]
 	}
-	for ; i+8 <= len(b); i += 8 {
-		v := binary.BigEndian.Uint64(b[i:])
-		a.sum += v>>48 + v>>32&0xffff + v>>16&0xffff + v&0xffff
+	var s, c uint64
+	for len(b) >= 32 {
+		w := b[:32:32]
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(w[0:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(w[8:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(w[16:]), c)
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(w[24:]), c)
+		b = b[32:]
 	}
+	for len(b) >= 8 {
+		s, c = bits.Add64(s, binary.BigEndian.Uint64(b), c)
+		b = b[8:]
+	}
+	s, c = bits.Add64(s, 0, c)
+	s += c
+	a.sum += s>>32 + s&0xffffffff
+	i := 0
 	for ; i+1 < len(b); i += 2 {
 		a.sum += uint64(b[i])<<8 | uint64(b[i+1])
 	}

@@ -74,6 +74,26 @@ func TestQuickAccumChunkingInvariance(t *testing.T) {
 	}
 }
 
+// TestChecksumCarryChain drives the 64-bit add-with-carry loop through
+// carries on every word: all-ones and near-all-ones runs of every length
+// around the 8- and 32-byte block edges, at both byte parities.
+func TestChecksumCarryChain(t *testing.T) {
+	for _, fill := range []byte{0xff, 0xfe, 0x80} {
+		for n := 0; n < 200; n++ {
+			b := make([]byte, n+1)
+			for i := range b {
+				b[i] = fill
+			}
+			b[0] = 0x01
+			for _, run := range [][]byte{b[1:], b} {
+				if got, want := Checksum(run), refChecksum(run); got != want {
+					t.Fatalf("fill %#x len %d: Checksum = %#04x, want %#04x", fill, len(run), got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestAccumAddUint16(t *testing.T) {
 	var a Accum
 	a.AddUint16(0x1234)
