@@ -463,13 +463,21 @@ func (d *Dispatcher) Declared(name Name) bool {
 // to an event. allotment, if nonzero, is the EPHEMERAL time budget per
 // invocation. Installation order is dispatch order.
 func (d *Dispatcher) Install(name Name, guard Guard, h Handler, allotment sim.Time) (*Binding, error) {
-	b, err := d.newBinding(name, h, allotment)
+	bv, err := d.newBinding(name, h, allotment)
 	if err != nil {
 		return nil, err
 	}
+	b := &bv
 	b.guard = guard
 	b.event.bindings = append(b.event.bindings, b)
 	return b, nil
+}
+
+// keyedAlloc holds a keyed binding and its keyed state, so installing one
+// costs a single allocation.
+type keyedAlloc struct {
+	b Binding
+	k keyedBinding
 }
 
 // InstallKeyed attaches a handler whose guard is "the packet's key equals
@@ -478,11 +486,11 @@ func (d *Dispatcher) Install(name Name, guard Guard, h Handler, allotment sim.Ti
 // bindings, charged one GuardEval per raise — but the dispatcher finds it
 // through the key index instead of evaluating it.
 func (d *Dispatcher) InstallKeyed(name Name, key uint64, h Handler, allotment sim.Time) (*Binding, error) {
-	b, err := d.newBinding(name, h, allotment)
+	bv, err := d.newBinding(name, h, allotment)
 	if err != nil {
 		return nil, err
 	}
-	ev := b.event
+	ev := bv.event
 	kx := ev.keyed
 	if kx == nil {
 		return nil, fmt.Errorf("%w: %s", ErrNotKeyed, name)
@@ -493,30 +501,32 @@ func (d *Dispatcher) InstallKeyed(name Name, key uint64, h Handler, allotment si
 		kx.byKey = make(map[uint64]*Binding)
 		kx.owner = "demux:" + string(name)
 	}
-	b.keyed = &keyedBinding{key: key, before: len(ev.bindings), since: ev.raises}
+	ka := &keyedAlloc{b: bv, k: keyedBinding{key: key, before: len(ev.bindings), since: ev.raises}}
+	b := &ka.b
+	b.keyed = &ka.k
 	kx.add(b)
 	return b, nil
 }
 
 // newBinding validates an install and builds the binding, unattached.
-func (d *Dispatcher) newBinding(name Name, h Handler, allotment sim.Time) (*Binding, error) {
+func (d *Dispatcher) newBinding(name Name, h Handler, allotment sim.Time) (Binding, error) {
 	ev, ok := d.events[name]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownEvent, name)
+		return Binding{}, fmt.Errorf("%w: %s", ErrUnknownEvent, name)
 	}
 	if ev.requireEphemeral && !h.Ephemeral {
-		return nil, fmt.Errorf("%w: %s on %s", ErrNotEphemeral, h.Name, name)
+		return Binding{}, fmt.Errorf("%w: %s on %s", ErrNotEphemeral, h.Name, name)
 	}
 	if h.Fn == nil {
-		return nil, fmt.Errorf("event: nil handler %q on %s", h.Name, name)
+		return Binding{}, fmt.Errorf("event: nil handler %q on %s", h.Name, name)
 	}
 	if allotment < 0 {
-		return nil, fmt.Errorf("event: negative allotment %v for %q on %s", allotment, h.Name, name)
+		return Binding{}, fmt.Errorf("event: negative allotment %v for %q on %s", allotment, h.Name, name)
 	}
 	if allotment > 0 && !h.Ephemeral {
-		return nil, fmt.Errorf("%w: %s on %s", ErrAllotmentNotEphemeral, h.Name, name)
+		return Binding{}, fmt.Errorf("%w: %s on %s", ErrAllotmentNotEphemeral, h.Name, name)
 	}
-	return &Binding{event: ev, name: h.Name, fn: h.Fn, ephemeral: h.Ephemeral, allotment: allotment}, nil
+	return Binding{event: ev, name: h.Name, fn: h.Fn, ephemeral: h.Ephemeral, allotment: allotment}, nil
 }
 
 // Uninstall detaches a binding. Semantics:

@@ -18,7 +18,7 @@ func ipOffset(base filter.Base) int {
 	return 0
 }
 
-func get16(b []byte, i int) uint16  { return uint16(b[i])<<8 | uint16(b[i+1]) }
+func get16(b []byte, i int) uint16 { return uint16(b[i])<<8 | uint16(b[i+1]) }
 func put16(b []byte, i int, v uint16) {
 	b[i] = byte(v >> 8)
 	b[i+1] = byte(v)

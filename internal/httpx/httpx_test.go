@@ -196,3 +196,78 @@ func TestHTTPConcurrentClients(t *testing.T) {
 		t.Fatalf("results = %v", results)
 	}
 }
+
+// rawGet sends a request head in parts, each part sim.Millisecond after the
+// last so every part is its own segment and delivery, and returns the raw
+// response bytes.
+func rawGet(t *testing.T, n *plexus.Network, client, server *plexus.Stack, parts ...string) string {
+	t.Helper()
+	var raw []byte
+	client.Spawn("raw", func(task *sim.Task) {
+		_, err := client.ConnectTCP(task, server.Addr(), 80, plexus.TCPAppOptions{
+			OnEstablished: func(t2 *sim.Task, conn *plexus.TCPApp) {
+				for i, p := range parts {
+					client.Host.CPU.SubmitAt(t2.Now()+sim.Time(i)*sim.Millisecond, sim.PrioUser, "part", func(t3 *sim.Task) {
+						_ = conn.Send(t3, []byte(p))
+					})
+				}
+			},
+			OnRecv:    func(t2 *sim.Task, conn *plexus.TCPApp, data []byte) { raw = append(raw, data...) },
+			OnPeerFin: func(t2 *sim.Task, conn *plexus.TCPApp) { conn.Close(t2) },
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	n.Sim.RunUntil(5 * 60 * sim.Second)
+	return string(raw)
+}
+
+// A head split across segments — even inside its terminating blank line —
+// is accumulated and served once complete.
+func TestHTTPHeadSplitAcrossSegments(t *testing.T) {
+	for _, parts := range [][]string{
+		{"GET / HTTP/1.0\r\nHo", "st: 10.0.0.2\r\n\r\n"},
+		{"GET / HTTP/1.0\r\n\r", "\n"},
+		{"GET /missing", " HTTP/1.0\r\n", "\r\n"},
+	} {
+		n, client, server := twoHosts(t, osmodel.SPIN)
+		srv, err := Serve(server, 80, handler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := rawGet(t, n, client, server, parts...)
+		r, err := parseResponse([]byte(raw))
+		want := handler(nil, &Request{Path: strings.Fields(strings.Join(parts, ""))[1]})
+		if err != nil || r.Status != want.Status || string(r.Body) != string(want.Body) {
+			t.Fatalf("parts %q: response %q (err %v)", parts, raw, err)
+		}
+		if s := srv.Stats(); s.Requests != 1 || s.BadRequests != 0 {
+			t.Fatalf("parts %q: stats %+v", parts, s)
+		}
+	}
+}
+
+// A Monolithic server runs the same code as a user process, on bytes copied
+// out of the kernel: whole and split heads are answered, and a malformed
+// one draws the 400 with the parser's error text.
+func TestHTTPMonolithicServer(t *testing.T) {
+	for _, tc := range []struct {
+		parts []string
+		want  string
+	}{
+		{[]string{"GET / HTTP/1.0\r\nHost: 10.0.0.2\r\n\r\n"}, "hello from plexus\n"},
+		{[]string{"GET / HTTP/1.0\r\n", "Host: 10.0.0.2\r\n\r\n"}, "hello from plexus\n"},
+		{[]string{"GET /\r\n\r\n"}, "httpx: malformed request line \"GET /\"\n"},
+	} {
+		n, client, server := twoHosts(t, osmodel.Monolithic)
+		if _, err := Serve(server, 80, handler); err != nil {
+			t.Fatal(err)
+		}
+		raw := rawGet(t, n, client, server, tc.parts...)
+		r, err := parseResponse([]byte(raw))
+		if err != nil || string(r.Body) != tc.want {
+			t.Fatalf("parts %q: response %q (err %v)", tc.parts, raw, err)
+		}
+	}
+}

@@ -76,8 +76,22 @@ type Stack struct {
 	UDP   *udp.Manager
 	TCP   *tcp.Manager
 
-	cfg    StackConfig
-	raiser *modeRaiser
+	cfg StackConfig
+	// tcpLabels names the user tasks Monolithic TCPApps run their
+	// callbacks in, built on first use. (The one pointer keeps Stack in
+	// its allocation size class; the mode raiser is rebuilt by Raiser.)
+	tcpLabels *tcpTaskLabels
+}
+
+// tcpTaskLabels are a stack's Monolithic TCPApp task labels.
+type tcpTaskLabels struct{ recv, ctl string }
+
+// taskLabels returns the stack's TCPApp task labels, building them once.
+func (st *Stack) taskLabels() *tcpTaskLabels {
+	if st.tcpLabels == nil {
+		st.tcpLabels = &tcpTaskLabels{recv: "tcp-app-recv:" + st.Name(), ctl: "tcp-app-ctl:" + st.Name()}
+	}
+	return st.tcpLabels
 }
 
 // modeRaiser implements event.Raiser with the stack's dispatch structure:
@@ -222,16 +236,15 @@ func NewStack(s *sim.Sim, name string, cfg StackConfig) (*Stack, error) {
 	}
 	tcpm.AttachHealth(host.Disp)
 	st := &Stack{
-		Host:   host,
-		NIC:    nic,
-		Ether:  eth,
-		ARP:    ar,
-		IP:     ipl,
-		ICMP:   icmpl,
-		UDP:    udpm,
-		TCP:    tcpm,
-		cfg:    cfg,
-		raiser: raiser,
+		Host:  host,
+		NIC:   nic,
+		Ether: eth,
+		ARP:   ar,
+		IP:    ipl,
+		ICMP:  icmpl,
+		UDP:   udpm,
+		TCP:   tcpm,
+		cfg:   cfg,
 	}
 	st.populateDomains()
 	return st, nil
@@ -288,8 +301,10 @@ func (st *Stack) Addr() view.IP4 { return st.cfg.Addr }
 // Config returns the stack's configuration.
 func (st *Stack) Config() StackConfig { return st.cfg }
 
-// Raiser returns the stack's mode-aware event raiser.
-func (st *Stack) Raiser() event.Raiser { return st.raiser }
+// Raiser returns the stack's mode-aware event raiser. A modeRaiser holds
+// nothing but the host and dispatch mode, so this one behaves exactly as
+// the one the stack's layers were built with.
+func (st *Stack) Raiser() event.Raiser { return &modeRaiser{host: st.Host, mode: st.cfg.Dispatch} }
 
 // InterruptMode reports whether receive handlers run at interrupt level.
 func (st *Stack) InterruptMode() bool {

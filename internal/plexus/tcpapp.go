@@ -33,51 +33,69 @@ type TCPApp struct {
 	st   *Stack
 	conn *tcp.Conn
 	opts TCPAppOptions
-	// recvLabel is the user-task label of Monolithic deliveries, built once.
-	recvLabel string
+	data any
 }
 
-func (st *Stack) newTCPApp(conn *tcp.Conn, opts TCPAppOptions) *TCPApp {
-	return &TCPApp{st: st, conn: conn, opts: opts, recvLabel: "tcp-app-recv:" + st.Name()}
+// The tcp.ConnOptions callbacks below are shared by every TCPApp: each finds
+// its TCPApp through the connection's App value, so opening a connection
+// mints no closures, and the user callbacks are read from app.opts at call
+// time, so SetOptions can replace them after accept (the user-level splice
+// forwarder does this).
+
+func appOf(c *tcp.Conn) *TCPApp {
+	app, _ := c.App().(*TCPApp)
+	return app
 }
 
-func (st *Stack) connOptions(app *TCPApp, opts TCPAppOptions) tcp.ConnOptions {
-	return tcp.ConnOptions{
-		Ephemeral: true,
-		CC:        opts.CC,
-		NoSack:    opts.NoSack,
-		OnRecv: func(t *sim.Task, c *tcp.Conn, data []byte) {
-			app.deliver(t, data)
-		},
-		OnEstablished: func(t *sim.Task, c *tcp.Conn) {
-			app.conn = c
-			if opts.OnEstablished != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { opts.OnEstablished(task, app) })
-			}
-		},
-		OnPeerFin: func(t *sim.Task, c *tcp.Conn) {
-			if opts.OnPeerFin != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { opts.OnPeerFin(task, app) })
-			}
-		},
-		OnClose: func(c *tcp.Conn, err error) {
-			if opts.OnClose != nil {
-				opts.OnClose(app, err)
-			}
-		},
+func appRecv(t *sim.Task, c *tcp.Conn, data []byte) {
+	if app := appOf(c); app != nil {
+		app.deliver(t, data)
 	}
 }
+
+func appEstablished(t *sim.Task, c *tcp.Conn) {
+	if app := appOf(c); app != nil && app.opts.OnEstablished != nil {
+		app.inAppContext(t, callEstablished)
+	}
+}
+
+func appPeerFin(t *sim.Task, c *tcp.Conn) {
+	if app := appOf(c); app != nil && app.opts.OnPeerFin != nil {
+		app.inAppContext(t, callPeerFin)
+	}
+}
+
+func appClose(c *tcp.Conn, err error) {
+	if app := appOf(c); app != nil && app.opts.OnClose != nil {
+		app.opts.OnClose(app, err)
+	}
+}
+
+func callEstablished(t *sim.Task, app *TCPApp) { app.opts.OnEstablished(t, app) }
+
+func callPeerFin(t *sim.Task, app *TCPApp) { app.opts.OnPeerFin(t, app) }
 
 // ConnectTCP performs an active open to dst:dstPort.
 func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPAppOptions) (*TCPApp, error) {
-	app := st.newTCPApp(nil, opts)
+	app := &TCPApp{st: st, opts: opts}
 	if st.Host.Personality == osmodel.Monolithic {
 		t.Charge(st.Host.Costs.Syscall + st.Host.Costs.SocketLayer)
 	}
-	c, err := st.TCP.Connect(t, dst, dstPort, st.connOptions(app, opts))
+	c, err := st.TCP.Connect(t, dst, dstPort, tcp.ConnOptions{
+		Ephemeral:     true,
+		CC:            opts.CC,
+		NoSack:        opts.NoSack,
+		OnRecv:        appRecv,
+		OnEstablished: appEstablished,
+		OnPeerFin:     appPeerFin,
+		OnClose:       appClose,
+	})
 	if err != nil {
 		return nil, err
 	}
+	// No callback can fire before the SYN is answered, so attaching the
+	// app after Connect returns is in time.
+	c.SetApp(app)
 	app.conn = c
 	return app, nil
 }
@@ -86,45 +104,22 @@ func (st *Stack) ConnectTCP(t *sim.Task, dst view.IP4, dstPort uint16, opts TCPA
 // after each handshake completes. Every accepted connection gets its own
 // TCPApp wrapper sharing opts.
 func (st *Stack) ListenTCP(port uint16, opts TCPAppOptions, accept func(t *sim.Task, conn *TCPApp)) (*tcp.Listener, error) {
-	lst, err := st.TCP.Listen(port, tcp.ConnOptions{Ephemeral: true}, nil)
-	if err != nil {
-		return nil, err
-	}
-	apps := make(map[*tcp.Conn]*TCPApp)
-	// The hooks read app.opts at call time, so a connection's callbacks can
-	// be replaced after accept (the user-level splice forwarder does this).
-	lst.SetConnOptions(tcp.ConnOptions{
+	return st.TCP.Listen(port, tcp.ConnOptions{
 		Ephemeral: true,
-		OnRecv: func(t *sim.Task, c *tcp.Conn, data []byte) {
-			if app := apps[c]; app != nil {
-				app.deliver(t, data)
-			}
-		},
+		OnRecv:    appRecv,
 		OnEstablished: func(t *sim.Task, c *tcp.Conn) {
-			app := st.newTCPApp(c, opts)
-			apps[c] = app
+			app := &TCPApp{st: st, conn: c, opts: opts}
+			c.SetApp(app)
 			if accept != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { accept(task, app) })
+				app.inAppContext(t, accept)
 			}
 			if app.opts.OnEstablished != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { app.opts.OnEstablished(task, app) })
+				app.inAppContext(t, callEstablished)
 			}
 		},
-		OnPeerFin: func(t *sim.Task, c *tcp.Conn) {
-			if app := apps[c]; app != nil && app.opts.OnPeerFin != nil {
-				app.inAppContext(t, 0, func(task *sim.Task) { app.opts.OnPeerFin(task, app) })
-			}
-		},
-		OnClose: func(c *tcp.Conn, err error) {
-			if app := apps[c]; app != nil {
-				delete(apps, c)
-				if app.opts.OnClose != nil {
-					app.opts.OnClose(app, err)
-				}
-			}
-		},
-	})
-	return lst, nil
+		OnPeerFin: appPeerFin,
+		OnClose:   appClose,
+	}, nil)
 }
 
 // Options returns the connection's application-level options.
@@ -133,6 +128,14 @@ func (app *TCPApp) Options() TCPAppOptions { return app.opts }
 // SetOptions replaces the connection's application-level callbacks; takes
 // effect for subsequent deliveries.
 func (app *TCPApp) SetOptions(o TCPAppOptions) { app.opts = o }
+
+// Data returns the value SetData attached to the connection (nil if none).
+func (app *TCPApp) Data() any { return app.data }
+
+// SetData attaches an opaque value to the connection for its callbacks, so
+// one set of callback functions can serve many connections, each finding
+// its own state through Data, instead of a closure per connection.
+func (app *TCPApp) SetData(v any) { app.data = v }
 
 // deliver applies receive-side personality structure, then the app callback.
 // On SPIN the callback runs inline and borrows data; on Monolithic the bytes
@@ -146,7 +149,7 @@ func (app *TCPApp) deliver(t *sim.Task, data []byte) {
 	costs := st.Host.Costs
 	t.Charge(costs.SocketLayer + costs.Wakeup)
 	data = append([]byte(nil), data...)
-	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, app.recvLabel, func(ut *sim.Task) {
+	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, st.taskLabels().recv, func(ut *sim.Task) {
 		ut.Charge(costs.CtxSwitch + costs.Syscall)
 		ut.ChargeBytes(len(data), costs.CopyPerByte)
 		app.recv(ut, data)
@@ -165,18 +168,17 @@ func (app *TCPApp) recv(t *sim.Task, data []byte) {
 
 // inAppContext runs a control callback with personality structure: inline on
 // SPIN, as a woken user process on Monolithic.
-func (app *TCPApp) inAppContext(t *sim.Task, nbytes int, fn func(task *sim.Task)) {
+func (app *TCPApp) inAppContext(t *sim.Task, fn func(t *sim.Task, app *TCPApp)) {
 	st := app.st
 	if st.Host.Personality == osmodel.SPIN {
-		fn(t)
+		fn(t, app)
 		return
 	}
 	costs := st.Host.Costs
 	t.Charge(costs.Wakeup)
-	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, "tcp-app-ctl:"+st.Name(), func(ut *sim.Task) {
+	st.Host.CPU.SubmitAt(t.Now(), sim.PrioUser, st.taskLabels().ctl, func(ut *sim.Task) {
 		ut.Charge(costs.CtxSwitch)
-		ut.ChargeBytes(nbytes, costs.CopyPerByte)
-		fn(ut)
+		fn(ut, app)
 	})
 }
 

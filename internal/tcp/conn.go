@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"strconv"
 
 	"plexus/internal/event"
 	"plexus/internal/sim"
@@ -213,8 +214,10 @@ type Conn struct {
 	// payload buffers come from the manager's free list.
 	ooo []oooSeg
 	// rxBuf is the reused buffer in-order payload is gathered into when it
-	// spans mbufs; OnRecv borrows it for the duration of the call.
-	rxBuf []byte
+	// spans mbufs; OnRecv borrows it for the duration of the call. inRecv
+	// marks that call, during which a teardown must not recycle rxBuf.
+	rxBuf  []byte
+	inRecv bool
 
 	// Receiver-side flow control: when the application pauses delivery,
 	// in-order data accumulates in rcvBuf and the advertised window
@@ -251,6 +254,8 @@ type Conn struct {
 	// probeTag is the telemetry probe's opaque per-connection slot (cached
 	// series handles); see telemetry.go.
 	probeTag any
+	// app is the application's opaque per-connection value (SetApp).
+	app any
 }
 
 // newConn allocates a TCB and installs its binding on TCP.PacketRecv, keyed
@@ -291,7 +296,7 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 	c.cc.Init(c)
 	key := connKey{localPort, remote, remotePort}
 	h := event.Handler{
-		Name:      fmt.Sprintf("tcp.conn:%d-%v:%d", localPort, remote, remotePort),
+		Name:      connBindingName(localPort, remote, remotePort),
 		Fn:        c.segArrives,
 		Ephemeral: true,
 	}
@@ -305,6 +310,19 @@ func (m *Manager) newConn(localPort uint16, remote view.IP4, remotePort uint16, 
 	m.conns[key] = c
 	m.connList = append(m.connList, c)
 	return c
+}
+
+// connBindingName is the name of a connection's binding,
+// "tcp.conn:<lport>-<raddr>:<rport>", built with one allocation.
+func connBindingName(localPort uint16, remote view.IP4, remotePort uint16) string {
+	var buf [len("tcp.conn:65535-255.255.255.255:65535")]byte
+	b := append(buf[:0], "tcp.conn:"...)
+	b = strconv.AppendUint(b, uint64(localPort), 10)
+	b = append(b, '-')
+	b = remote.AppendTo(b)
+	b = append(b, ':')
+	b = strconv.AppendUint(b, uint64(remotePort), 10)
+	return string(b)
 }
 
 // Connect performs an active open to dst:dstPort.
@@ -321,6 +339,14 @@ func (m *Manager) Connect(t *sim.Task, dst view.IP4, dstPort uint16, opts ConnOp
 
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
+
+// App returns the value SetApp attached to the connection (nil if none).
+func (c *Conn) App() any { return c.app }
+
+// SetApp attaches an opaque application value to the connection, so one
+// set of callback functions can serve every connection, each finding its
+// own state through App, instead of a closure per connection.
+func (c *Conn) SetApp(v any) { c.app = v }
 
 // Stats returns a snapshot of per-connection counters.
 func (c *Conn) Stats() ConnStats { return c.stats }
@@ -432,6 +458,11 @@ func (c *Conn) Send(t *sim.Task, data []byte) error {
 	}
 	if c.finQueued {
 		return ErrClosed
+	}
+	if size := int(c.mgr.bufSize); c.sndBuf.buf == nil && len(data) > 0 && len(data) <= size {
+		// A small first write (a request, a response) gets its ring
+		// storage from the manager's free list.
+		c.sndBuf.buf = c.mgr.getBuf(size)
 	}
 	c.sndBuf.write(data)
 	c.output(t)
@@ -856,15 +887,19 @@ func (c *Conn) enterTimeWait(cause Cause) {
 }
 
 // releaseBuffers drops the connection's data buffers once no byte can move
-// through them again (TIME-WAIT or teardown): the send ring and receive
-// buffer go to the garbage collector, out-of-order payload buffers back to
-// the manager's free list. A TIME-WAIT TCB then holds no buffer memory
-// through its 2*MSL wait.
+// through them again (TIME-WAIT or teardown): MSS-sized send-ring storage,
+// the receive gather buffer and out-of-order payload buffers go back to the
+// manager's free list, anything larger to the garbage collector. A
+// TIME-WAIT TCB then holds no buffer memory through its 2*MSL wait.
 func (c *Conn) releaseBuffers() {
+	c.mgr.putBuf(c.sndBuf.buf)
 	c.sndBuf = sendRing{}
+	if !c.inRecv {
+		c.mgr.putBuf(c.rxBuf)
+	}
 	c.rxBuf = nil
 	for _, o := range c.ooo {
-		c.mgr.putOOOBuf(o.payload)
+		c.mgr.putBuf(o.payload)
 	}
 	c.ooo = nil
 }

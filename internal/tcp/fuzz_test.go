@@ -68,7 +68,7 @@ func FuzzParseSeg(f *testing.F) {
 		if err != nil || !bytes.Equal(got, refPayload) {
 			t.Fatalf("payload %x (err %v), copying parser %x", got, err, refPayload)
 		}
-		c := &Conn{mss: 536}
+		c := &Conn{mgr: &Manager{}, mss: 536}
 		if p := c.payload(s, 0); !bytes.Equal(p, refPayload) {
 			t.Fatalf("delivered payload %x, want %x", p, refPayload)
 		}

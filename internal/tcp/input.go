@@ -555,7 +555,9 @@ func (c *Conn) deliver(t *sim.Task, payload []byte) {
 		return
 	}
 	if c.opts.OnRecv != nil {
+		c.inRecv = true
 		c.opts.OnRecv(t, c, payload)
+		c.inRecv = false
 	}
 }
 
@@ -571,7 +573,8 @@ func (c *Conn) payload(s seg, skip int) []byte {
 		return b[off : off+n]
 	}
 	if cap(c.rxBuf) < n {
-		c.rxBuf = make([]byte, max(n, int(c.mss)))
+		c.mgr.putBuf(c.rxBuf)
+		c.rxBuf = c.mgr.getBuf(n)
 	}
 	buf := c.rxBuf[:n]
 	// parseSeg bounded the payload inside the chain, so the copy cannot
@@ -598,7 +601,7 @@ func (c *Conn) bufferOOO(s seg) {
 	}
 	c.stats.OOOBuffered++
 	c.lastOOOSeq = s.seq
-	p := c.mgr.getOOOBuf(s.dataLen)
+	p := c.mgr.getBuf(s.dataLen)
 	_ = s.pkt.CopyTo(s.dataOff, p) // in bounds: see payload
 	if c.ooo == nil {
 		c.ooo = make([]oooSeg, 0, maxOOOSegs)
@@ -633,7 +636,7 @@ func (c *Conn) drainOOO(t *sim.Task) (bool, uint32) {
 			}
 		}
 		c.deliver(t, payload)
-		c.mgr.putOOOBuf(o.payload)
+		c.mgr.putBuf(o.payload)
 		if o.fin {
 			c.rcv.nxt++
 			fin = true
@@ -649,26 +652,29 @@ func (c *Conn) drainOOO(t *sim.Task) (bool, uint32) {
 	return fin, finSeq
 }
 
-// getOOOBuf returns an n-byte buffer for out-of-order payload, from the free
-// list when one fits.
-func (m *Manager) getOOOBuf(n int) []byte {
+// getBuf returns an n-byte buffer with capacity for at least an MSS, from
+// the free list when n fits one. A recycled buffer still holds its previous
+// bytes: callers expose only what they write into it.
+func (m *Manager) getBuf(n int) []byte {
 	if n == 0 {
 		return nil
 	}
-	if k := len(m.oooFree); k > 0 && cap(m.oooFree[k-1]) >= n {
-		b := m.oooFree[k-1]
-		m.oooFree[k-1] = nil
-		m.oooFree = m.oooFree[:k-1]
+	size := int(m.bufSize)
+	if k := len(m.bufFree); k > 0 && n <= size {
+		b := m.bufFree[k-1]
+		m.bufFree[k-1] = nil
+		m.bufFree = m.bufFree[:k-1]
 		return b[:n]
 	}
-	return make([]byte, n, max(n, m.MSS()))
+	return make([]byte, n, max(n, size))
 }
 
-// putOOOBuf returns an out-of-order payload buffer to the free list; only
-// MSS-sized buffers are kept.
-func (m *Manager) putOOOBuf(b []byte) {
-	if cap(b) >= m.MSS() {
-		m.oooFree = append(m.oooFree, b[:0])
+// putBuf returns a buffer to the free list. Only buffers of exactly MSS
+// capacity are kept, so a grown send ring or an oversized segment's buffer
+// is left to the garbage collector instead of pinning its memory here.
+func (m *Manager) putBuf(b []byte) {
+	if cap(b) == int(m.bufSize) && cap(b) > 0 {
+		m.bufFree = append(m.bufFree, b[:0])
 	}
 }
 

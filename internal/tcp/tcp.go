@@ -109,11 +109,17 @@ type Manager struct {
 	audit    TransitionSink
 	hostName string
 
-	// oooFree recycles the MSS-sized payload buffers of out-of-order
-	// segments across this manager's connections.
-	oooFree [][]byte
+	// bufFree recycles MSS-sized byte buffers across this manager's
+	// connections: out-of-order payload, a small first send-ring storage
+	// and the in-order gather buffer (rxBuf). A connection returns its
+	// buffers when it enters TIME-WAIT or is torn down.
+	bufFree [][]byte
 
 	requireEphemeral bool
+	// bufSize is the capacity of the buffers in bufFree: the interface
+	// MSS. As an int32 it packs beside requireEphemeral, which keeps
+	// Manager in its allocation size class.
+	bufSize int32
 }
 
 type connKey struct {
@@ -180,6 +186,7 @@ func New(cfg Config) (*Manager, error) {
 	if m.minRTO == 0 {
 		m.minRTO = minRTO
 	}
+	m.bufSize = int32(m.MSS())
 	if cfg.CPU != nil {
 		m.hostName = cfg.CPU.Name()
 	}
@@ -569,10 +576,6 @@ func (m *Manager) Listen(port uint16, opts ConnOptions, accept func(t *sim.Task,
 
 // Port returns the listening port.
 func (l *Listener) Port() uint16 { return l.port }
-
-// SetConnOptions replaces the options applied to subsequently accepted
-// connections (already-open connections are unaffected).
-func (l *Listener) SetConnOptions(opts ConnOptions) { l.opts = opts }
 
 // Close stops accepting connections.
 func (l *Listener) Close() {

@@ -16,6 +16,7 @@ package view
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // ErrShort reports a buffer too short for the requested header view.
@@ -43,7 +44,20 @@ type IP4 [4]byte
 
 // String renders dotted-quad form.
 func (a IP4) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
+	var buf [len("255.255.255.255")]byte
+	return string(a.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the dotted-quad form to b, for callers that build a
+// larger string without formatting each address separately.
+func (a IP4) AppendTo(b []byte) []byte {
+	for i, x := range a {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(x), 10)
+	}
+	return b
 }
 
 // Uint32 returns the address as a big-endian integer.
